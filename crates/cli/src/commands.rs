@@ -1569,6 +1569,193 @@ mod tests {
         assert!(err.to_string().contains("does not fit"), "{err}");
     }
 
+    /// Hex SHA-256 of a command's stdout.
+    fn stdout_digest(out: &str) -> String {
+        flexlink::crypto::sha256(out.as_bytes())
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect()
+    }
+
+    /// `flexi inject` invocations whose reports are pinned: every
+    /// dialect under both the stuck-at and the transient model.
+    const PINNED_INJECT: &[(&str, &str, &str, &str)] = &[
+        // (dialect, kernel, mode, digest)
+        (
+            "fc4",
+            "thresholding",
+            "stuck",
+            "6e9738428a5e1121cb2d1eb699316e83d07225b2fcc44eeae424adb9fac316b5",
+        ),
+        (
+            "fc4",
+            "thresholding",
+            "transient",
+            "c7006a94c28c87a67cfb15cbddce82c024678e60160186ced1863cfe77144c20",
+        ),
+        (
+            "fc8",
+            "parity",
+            "stuck",
+            "c0b71d0ee1ad0070d15aba2b935d9663a80554ce9083c05ce4f2a954089ddcf8",
+        ),
+        (
+            "fc8",
+            "parity",
+            "transient",
+            "a9548329eb133e32681a0d882afb39ee8aca5a5f5b98a5197abbde4c643a6454",
+        ),
+        (
+            "xacc",
+            "fir",
+            "stuck",
+            "ddea37892d66124cac734115634789901078d1a3b4a9dea7a1cee3359544359e",
+        ),
+        (
+            "xacc",
+            "fir",
+            "transient",
+            "d9bf1d648371ed5d274b1656c3ad981fc067411279e3558de913c1aff18c6204",
+        ),
+        (
+            "xls",
+            "tree",
+            "stuck",
+            "7e60937b3372b3f4ca78e61a7508ee12d8f02c675dd3a7cfc2e7579154ca8739",
+        ),
+        (
+            "xls",
+            "tree",
+            "transient",
+            "17a4fbc66ff1c3580c2e0c95299ea30ff24ea65bcfeb8bcaa8f5ba9491de16e3",
+        ),
+    ];
+
+    fn pinned_inject_argv<'a>(dialect: &'a str, kernel: &'a str, mode: &'a str) -> Vec<&'a str> {
+        vec![
+            "inject",
+            "--dialect",
+            dialect,
+            "--kernel",
+            kernel,
+            "--mode",
+            mode,
+            "--faults",
+            "24",
+            "--seed",
+            "24301",
+            "--budget",
+            "20000",
+        ]
+    }
+
+    #[test]
+    fn pinned_campaign_reports_keep_their_digests() {
+        let mut mismatches = Vec::new();
+        let mut check = |argv: &[&str], pinned: &str| {
+            let got = stdout_digest(&call(argv).unwrap());
+            if got != pinned {
+                mismatches.push(format!("{}: got {got}, pinned {pinned}", argv.join(" ")));
+            }
+        };
+        for &(dialect, kernel, mode, pinned) in PINNED_INJECT {
+            check(&pinned_inject_argv(dialect, kernel, mode), pinned);
+        }
+        check(
+            &[
+                "resilient",
+                "--faults",
+                "6",
+                "--seed",
+                "17",
+                "--budget",
+                "20000",
+            ],
+            "bf17ee730dd2971654eae7eeaceacbc0cd67689ad3cb3af64e785c070aa38f47",
+        );
+        check(
+            &[
+                "resilient",
+                "--quorum",
+                "dmr",
+                "--mode",
+                "transient",
+                "--faults",
+                "6",
+                "--seed",
+                "29",
+                "--budget",
+                "20000",
+            ],
+            "501c94d0f130c626e8ea7a2e49e87be6bfb83a03a16c4fbed6066b79f364958e",
+        );
+        check(
+            &[
+                "mission", "--kernel", "parity", "--trials", "6", "--ticks", "4", "--seed", "41",
+            ],
+            "d7e862b595bdc6df5a6de4d400be5435acf0cd61ba93d20e464c1d9d6351ef7e",
+        );
+        assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+    }
+
+    #[test]
+    fn pinned_inject_campaigns_exercise_fetch_bus_faults() {
+        // trials whose fault sits on the fetch bus decode a corrupted
+        // instruction stream: the pins above must cover them
+        let fetch_bus_trials: usize = PINNED_INJECT
+            .iter()
+            .map(|&(dialect, kernel, mode, _)| {
+                let mut config = flexinject::CampaignConfig::new(
+                    flexinject::target_from_name(dialect).unwrap(),
+                    flexinject::kernel_from_name(kernel).unwrap(),
+                    24,
+                    24_301,
+                );
+                config.budget = 20_000;
+                config.model = flexinject::FaultModel::from_name(mode).unwrap();
+                flexinject::run_campaign(config)
+                    .unwrap()
+                    .trials
+                    .iter()
+                    .filter(|t| t.fault.element == flexicore::sim::StateElement::FetchBus)
+                    .count()
+            })
+            .sum();
+        assert!(fetch_bus_trials > 0, "no pinned trial hits the fetch bus");
+    }
+
+    #[test]
+    fn pinned_salvage_yield_keeps_its_digest() {
+        let cache = std::env::temp_dir().join(format!("flexi-cli-salvage-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&cache);
+        let handle = flexserve::serve(flexserve::ServeConfig {
+            workers: 1,
+            cache_dir: cache.clone(),
+            ..flexserve::ServeConfig::default()
+        })
+        .unwrap();
+        let port = handle.addr().port().to_string();
+        let out = call(&[
+            "client",
+            "yield",
+            "--salvage",
+            "--cycles",
+            "300",
+            "--port",
+            &port,
+        ])
+        .unwrap();
+        call(&["client", "drain", "--port", &port]).unwrap();
+        handle.wait();
+        let _ = std::fs::remove_dir_all(&cache);
+        assert!(out.contains("salvage-partial-yield"), "{out}");
+        assert_eq!(
+            stdout_digest(&out),
+            "5e46b213bfe7227d5dda872dced5d6f78b5debd4dd8dacf3c1ad15d20de293b2",
+            "{out}"
+        );
+    }
+
     #[test]
     fn unknown_command_and_flags_fail() {
         assert!(call(&["frobnicate"]).is_err());
