@@ -9,6 +9,12 @@ cd "$(dirname "$0")"
 echo "== cargo build --release =="
 cargo build --release --offline --workspace
 
+echo "== perfbench =="
+# the repo benchmark is its own package with path deps on the crates:
+# build it and run its helper tests here, so removing or renaming a
+# crate API it calls fails CI rather than the benchmark run
+cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
+
 echo "== resilience smoke =="
 # the acceptance gates for the resilient execution layer (TMR masking,
 # >= 90 % transient recovery, bit-for-bit replay) run first in release

@@ -1,14 +1,11 @@
 //! What do the bit-sliced and sharded campaign tiers buy?
 //!
-//! Three ways to run the same 256-trial fault-injection campaign:
+//! Two ways to run the same 256-trial fault-injection campaign:
 //!
-//! * **scalar-serial** — one `run_with` per trial, the shape every
-//!   campaign had before the packed tier existed;
-//! * **packed-batch** — the 64-lane [`run_batch`] path (shared decode
-//!   cache, lane-masked retirement), still one thread;
+//! * **scalar-serial** — one `run_with` per trial on one thread;
 //! * **sharded** — the full `run_campaign` with `--threads`/`--shards`
-//!   engaged, which layers the work-stealing pool on top of the packed
-//!   batches.
+//!   engaged, which layers the work-stealing pool on top of the same
+//!   per-trial runs.
 //!
 //! A second group times the Table 5 wafer screen (63 dies per
 //! bit-sliced gate-level pass, lane 0 golden) serial vs threaded.
@@ -40,7 +37,7 @@ fn pool_threads() -> usize {
 }
 
 /// Pre-draw the campaign's (fault, input) pairs exactly as
-/// `run_campaign` does, so all three cases execute identical trials.
+/// `run_campaign` does, so both cases execute identical trials.
 fn drawn_batch(target: Target, kernel: Kernel) -> Vec<BatchCase<FaultPlane>> {
     let site_list = sites::enumerate(target.dialect);
     let mut sampler = Sampler::new(kernel, SEED ^ 0x001A_7E57);
@@ -76,9 +73,6 @@ fn inject_campaign(c: &mut Criterion) {
                 .filter(|&ok| ok)
                 .count()
         });
-    });
-    group.bench_function("packed-batch", |b| {
-        b.iter(|| prepared.run_batch(batch.clone(), BUDGET).len());
     });
     let mut config = CampaignConfig::new(target, kernel, TRIALS, SEED);
     config.budget = BUDGET;

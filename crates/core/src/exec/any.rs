@@ -66,20 +66,6 @@ impl AnyCore {
         }
     }
 
-    /// The decode feature set ([`FeatureSet::BASE`] on the fabricated
-    /// dialects, whose decoders are feature-blind). Together with
-    /// [`dialect`](AnyCore::dialect) and [`program`](AnyCore::program)
-    /// this determines decode behaviour completely — the grouping key
-    /// packed execution shares a decode cache under.
-    #[must_use]
-    pub fn features(&self) -> FeatureSet {
-        match self {
-            AnyCore::Fc4(_) | AnyCore::Fc8(_) => FeatureSet::BASE,
-            AnyCore::Xacc(c) => c.features(),
-            AnyCore::Xls(c) => c.features(),
-        }
-    }
-
     /// Execute one instruction.
     ///
     /// # Errors
@@ -140,10 +126,9 @@ impl AnyCore {
 
     /// [`run_with`](AnyCore::run_with) minus the power-on state-fault
     /// visit: drive an already-powered-on core until the halt idiom or
-    /// until `budget` expires, in the dialect's own tight run loop. One
-    /// dialect dispatch covers the whole drain, so batched drivers
-    /// retire a lane at serial-run speed instead of paying three
-    /// dispatches per instruction.
+    /// until `budget` expires, in the dialect's own tight run loop.
+    /// Slicing one run into several budgets (a deadline-bounded daemon
+    /// request) resumes every slice after the first with this.
     ///
     /// # Errors
     ///
@@ -237,9 +222,10 @@ impl AnyCore {
     }
 
     /// Apply state faults once at the current cycle — the "stuck
-    /// power-on bit" hook `run_with` fires before the first fetch. The
-    /// [`MultiCoreDriver`](super::MultiCoreDriver) calls this when a
-    /// lane is admitted so batched runs match serial `run_with` exactly.
+    /// power-on bit" hook `run_with` fires before the first fetch.
+    /// Executors that step a core themselves (rollback recovery, the
+    /// link layer) call this before their first step so their runs
+    /// match `run_with` exactly.
     pub fn power_on_faults<F: FaultHook>(&mut self, faults: &mut F) {
         if F::ACTIVE {
             each_core!(self, c => {

@@ -264,20 +264,6 @@ pub trait FaultHook {
     /// simulators skip fault plumbing entirely at compile time.
     const ACTIVE: bool = true;
 
-    /// Whether this hook may alter bytes on the fetch bus.
-    ///
-    /// Packed drivers use this to decide if a lane can share the common
-    /// decode cache: a hook answering `false` promises
-    /// [`on_fetch`](FaultHook::on_fetch) is the identity (and free of
-    /// side effects), so the lane's decodes equal the clean program's.
-    /// The default conservatively mirrors [`ACTIVE`](FaultHook::ACTIVE);
-    /// [`FaultPlane`] refines it by checking for actual
-    /// [`StateElement::FetchBus`] faults.
-    #[inline]
-    fn corrupts_fetch(&self) -> bool {
-        Self::ACTIVE
-    }
-
     /// Corrupt one byte crossing the instruction fetch bus.
     #[inline]
     fn on_fetch(&mut self, cycle: u64, byte: u8) -> u8 {
@@ -310,11 +296,6 @@ pub trait FaultHook {
 
 impl<F: FaultHook> FaultHook for &mut F {
     const ACTIVE: bool = F::ACTIVE;
-
-    #[inline]
-    fn corrupts_fetch(&self) -> bool {
-        (**self).corrupts_fetch()
-    }
 
     #[inline]
     fn on_fetch(&mut self, cycle: u64, byte: u8) -> u8 {
@@ -422,13 +403,6 @@ impl FaultPlane {
 }
 
 impl FaultHook for FaultPlane {
-    #[inline]
-    fn corrupts_fetch(&self) -> bool {
-        self.faults
-            .iter()
-            .any(|f| f.element == StateElement::FetchBus)
-    }
-
     #[inline]
     fn on_fetch(&mut self, cycle: u64, byte: u8) -> u8 {
         self.corrupt(StateElement::FetchBus, cycle, byte)
@@ -684,30 +658,6 @@ mod tests {
         };
         assert_eq!(run(11), run(11));
         assert_ne!(run(11)[3], run(12)[3], "different seeds tear differently");
-    }
-
-    #[test]
-    fn corrupts_fetch_tracks_fetch_bus_faults_precisely() {
-        assert!(!NoFaults.corrupts_fetch());
-        assert!(!FaultPlane::new().corrupts_fetch());
-        let acc_only = FaultPlane::with_faults(vec![ArchFault {
-            element: StateElement::Acc,
-            bit: 0,
-            kind: FaultKind::StuckAt1,
-        }]);
-        assert!(!acc_only.corrupts_fetch(), "no FetchBus fault present");
-        let fetch = FaultPlane::with_faults(vec![ArchFault {
-            element: StateElement::FetchBus,
-            bit: 2,
-            kind: FaultKind::FlipAtCycle(9),
-        }]);
-        assert!(fetch.corrupts_fetch(), "transients on the bus count too");
-        let mut via_mut = fetch;
-        let forwarded: &mut FaultPlane = &mut via_mut;
-        assert!(
-            <&mut FaultPlane as FaultHook>::corrupts_fetch(&forwarded),
-            "forwarded via &mut"
-        );
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! and execute semantics (via [`crate::exec::Core`]) and forwards its
 //! public `step`/`run` API to the engine. Consumers that need runtime
 //! dialect dispatch use [`crate::exec::AnyCore`] instead of matching on
-//! the dialect, and batch work rides
-//! [`crate::exec::MultiCoreDriver`].
+//! the dialect; batch work loops over dies with
+//! [`AnyCore::run_with`](crate::exec::AnyCore::run_with).
 //!
 //! The halt idiom matches what programs on the physical chips do: FlexiCores
 //! have no `HALT` instruction, so a finished program spins on a

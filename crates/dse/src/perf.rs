@@ -2,8 +2,7 @@
 //!
 //! For each configuration, kernels run on the matching functional
 //! simulator (so dynamic instruction counts are measured, not modelled —
-//! [`measure`] batches every input case of a kernel through the
-//! multi-core driver), the
+//! [`measure`] runs every input case of a kernel), the
 //! [`TimingModel`] turns architectural counts into clock cycles, the
 //! composed [`CoreCost`] supplies fmax and static
 //! power, and energy is static power × runtime — the only kind of energy

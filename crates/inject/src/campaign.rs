@@ -201,7 +201,7 @@ pub fn run_campaign_pruned(
     // Pre-draw every (fault, input) pair in trial order — the RNG and
     // sampler streams interleave exactly as the old serial loop did —
     // then execute the pre-drawn trials sharded across worker threads.
-    // Each shard runs its contiguous range of trials as one packed batch
+    // Each shard runs its contiguous range of trials through `run_batch`
     // and the results merge back in shard (= trial) order, so neither
     // the thread count nor the shard count can change a single bit of
     // the report. Pruning happens *after* the draws: a pruned trial

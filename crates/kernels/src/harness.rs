@@ -2,7 +2,7 @@
 
 use crate::{oracle, sources, Kernel};
 use flexasm::{AsmError, Target};
-use flexicore::exec::{run_packed_lanes, AnyCore, LaneStatus};
+use flexicore::exec::AnyCore;
 use flexicore::io::{InputPort, OutputPort, RecordingOutput, ScriptedInput};
 use flexicore::program::Program;
 use flexicore::sim::{FaultHook, NoFaults, RunResult};
@@ -165,43 +165,18 @@ impl PreparedKernel {
         self.verify(inputs, output.values(), result)
     }
 
-    /// Run one case per [`BatchCase`] through the packed 64-lane tier
-    /// ([`run_packed_lanes`]): all lanes share this kernel's program
-    /// image, so each batch of 64 shares one decode cache, with lanes
-    /// whose fault hook corrupts the fetch bus falling back to private
-    /// decode. Results are in case order and bit-for-bit identical to
-    /// serial [`run_with`](Self::run_with) calls with the same inputs
-    /// and fault hooks (a guarantee the scalar engine's lockstep tests
-    /// enforce).
+    /// Run one case per [`BatchCase`], each through
+    /// [`run_with`](Self::run_with) with its own inputs and fault hook.
+    /// Results are in case order.
     #[must_use]
     pub fn run_batch<F: FaultHook>(
         &self,
         cases: Vec<BatchCase<F>>,
         budget: u64,
     ) -> Vec<Result<KernelRun, RunError>> {
-        let mut inputs = Vec::with_capacity(cases.len());
-        let lanes = cases
+        cases
             .into_iter()
-            .map(|case| {
-                inputs.push(case.inputs.clone());
-                (
-                    self.core(),
-                    ScriptedInput::new(case.inputs),
-                    RecordingOutput::new(),
-                    case.faults,
-                )
-            })
-            .collect();
-        run_packed_lanes(lanes, budget)
-            .into_iter()
-            .zip(inputs)
-            .map(|((status, output), inputs)| match status {
-                LaneStatus::Done(result) | LaneStatus::Hung(result) => {
-                    self.verify(&inputs, output.values(), result)
-                }
-                LaneStatus::Faulted(e) => Err(RunError::Sim(e)),
-                LaneStatus::Running => unreachable!("run_packed_lanes retires every lane"),
-            })
+            .map(|mut case| self.run_with(&case.inputs, budget, &mut case.faults))
             .collect()
     }
 
@@ -341,18 +316,14 @@ pub struct KernelStats {
 pub fn measure(kernel: Kernel, target: Target, cases: &[Vec<u8>]) -> Result<KernelStats, RunError> {
     assert!(!cases.is_empty(), "need at least one input case");
     let prepared = PreparedKernel::new(kernel, target)?;
-    let batch = cases
-        .iter()
-        .map(|case| BatchCase::clean(case.clone()))
-        .collect();
     let mut instructions = 0u64;
     let mut cycles = 0u64;
     let mut taken = 0u64;
     let mut fetched = 0u64;
     let mut static_instructions = 0;
     let mut code_bytes = 0;
-    for run in prepared.run_batch(batch, CYCLE_BUDGET) {
-        let run = run?;
+    for case in cases {
+        let run = prepared.run_with(case, CYCLE_BUDGET, &mut NoFaults)?;
         instructions += run.result.instructions;
         cycles += run.result.cycles;
         taken += run.result.taken_branches;

@@ -2,8 +2,8 @@
 //! by majority vote.
 //!
 //! Each lane is an independent simulated die — its own core, scripted
-//! input cursor, output recorder and [`FaultPlane`] — stepped by the
-//! [`MultiCoreDriver`]. After the batch retires, the output streams are
+//! input cursor, output recorder and [`FaultPlane`] — run to completion
+//! one after another. After every lane retires, the output streams are
 //! compared window by window and the final architectural states are
 //! compared as [`StateDigest`]s. A window (or the end state) where at
 //! least a quorum of lanes agree is decided by that majority, masking
@@ -16,7 +16,7 @@
 //! bit-for-bit identical by construction, so with at most one faulty
 //! lane a 3-lane quorum always holds.
 
-use flexicore::exec::{AnyCore, LaneStatus, MultiCoreDriver, Snapshot};
+use flexicore::exec::{AnyCore, LaneStatus, Snapshot};
 use flexicore::io::{RecordingOutput, ScriptedInput};
 use flexicore::mmu::Mmu;
 use flexicore::sim::FaultPlane;
@@ -162,23 +162,22 @@ impl NmrExecutor {
             self.config.lanes,
             "one fault plane per configured lane"
         );
-        let mut driver = MultiCoreDriver::new(self.config.budget);
-        for plane in planes {
-            driver.push(
-                self.proto.clone(),
-                ScriptedInput::new(inputs.to_vec()),
-                RecordingOutput::new(),
-                plane,
+        let mut streams = Vec::with_capacity(planes.len());
+        let mut digests = Vec::with_capacity(planes.len());
+        let mut statuses = Vec::with_capacity(planes.len());
+        for mut plane in planes {
+            let mut core = self.proto.clone();
+            let mut output = RecordingOutput::new();
+            let run = core.run_with(
+                &mut ScriptedInput::new(inputs.to_vec()),
+                &mut output,
+                self.config.budget,
+                &mut plane,
             );
+            streams.push(output.values());
+            digests.push(StateDigest::of(&core.snapshot()));
+            statuses.push(LaneStatus::from(run));
         }
-        driver.run_to_completion();
-        let lanes = driver.into_lanes();
-        let streams: Vec<Vec<u8>> = lanes.iter().map(|l| l.output.values()).collect();
-        let digests: Vec<StateDigest> = lanes
-            .iter()
-            .map(|l| StateDigest::of(&l.core.snapshot()))
-            .collect();
-        let statuses: Vec<LaneStatus> = lanes.into_iter().map(|l| l.status).collect();
 
         let quorum = self.config.lanes / 2 + 1;
         let mut outputs = Vec::new();
