@@ -40,6 +40,10 @@ echo "== sharded campaign smoke =="
 ./target/release/flexi inject --faults 64 --seed 11 --threads 8 --shards 16 \
     > /tmp/flexi_sharded.txt
 cmp /tmp/flexi_serial.txt /tmp/flexi_sharded.txt
+# --threads alone (default --shards) must engage the pool too
+./target/release/flexi inject --faults 64 --seed 11 --threads 8 \
+    > /tmp/flexi_sharded.txt
+cmp /tmp/flexi_serial.txt /tmp/flexi_sharded.txt
 ./target/release/flexi link --rates 0,5e-4 --seed 11 > /tmp/flexi_serial.txt
 ./target/release/flexi link --rates 0,5e-4 --seed 11 --threads 8 --shards 8 \
     > /tmp/flexi_sharded.txt

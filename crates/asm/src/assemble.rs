@@ -269,6 +269,7 @@ impl Assembler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexicore::exec::Core;
     use flexicore::io::{ConstInput, RecordingOutput, ScriptedInput};
     use flexicore::isa::features::FeatureSet;
     use flexicore::sim::fc4::Fc4Core;

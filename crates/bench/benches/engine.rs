@@ -1,15 +1,17 @@
 //! Does the generic execution engine cost anything?
 //!
-//! `flexicore::exec::Engine` hosts the fetch/decode/execute/commit loop
-//! for all four dialects; before the refactor each simulator carried its
-//! own monomorphic copy. This benchmark pits the engine-backed
-//! [`Fc4Core`] against `DirectFc4` — a faithful transcription of the
-//! pre-refactor fc4 step loop — on the same XorShift8 image, so a
+//! The provided methods of `flexicore::exec::Core` host the
+//! fetch/decode/execute/commit loop for all four dialects; before the
+//! refactor each simulator carried its own monomorphic copy. This
+//! benchmark pits [`Fc4Core`] driven through `Core::run` against
+//! `DirectFc4` — a faithful transcription of the pre-refactor fc4 step
+//! loop — on the same XorShift8 image, so a
 //! regression in the shared abstraction shows up as a gap between the
 //! two (the acceptance bar is ≤5%, recorded in EXPERIMENTS.md).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use flexasm::Target;
+use flexicore::exec::Core;
 use flexicore::io::{ConstInput, InputPort, NullOutput, OutputPort};
 use flexicore::isa::fc4::{Instruction, IPORT_ADDR, MEM_WORDS, OPORT_ADDR};
 use flexicore::mmu::Mmu;

@@ -8,6 +8,7 @@ use flexasm::{Assembler, Target};
 use flexfab::tester::{TestPlan, Tester};
 use flexfab::variation::DieVariation;
 use flexgate::sim::BatchSim;
+use flexicore::exec::Core;
 use flexicore::io::{ConstInput, NullOutput};
 use flexicore::sim::fc4::Fc4Core;
 use flexkernels::Kernel;

@@ -1,6 +1,6 @@
 //! The per-dialect abstract transfer function (DESIGN.md §10.1).
 //!
-//! [`transfer`] mirrors one [`Engine::step`](flexicore::exec) exactly —
+//! [`transfer`] mirrors one [`Core::step_with`](flexicore::exec::Core::step_with) exactly —
 //! same decode calls, same page guard, same operand/flag semantics —
 //! but over the abstract domains of [`crate::abs`]. Every concrete step
 //! from a state admitted by the input [`AbsState`] is matched by one of

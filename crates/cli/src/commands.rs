@@ -68,8 +68,8 @@ commands:
 
 targets: fc4 (default), fc8, xacc, xls
 features (xacc/xls): adc, shift, flags, mul, xch, call, 2xreg — or `revised`
-campaign scaling: --threads N workers, --shards N work units; any combination
-replays the single-threaded report bit-for-bit
+campaign scaling: --threads N workers, --shards N work units (at least one per
+worker); any combination replays the single-threaded report bit-for-bit
 "
     .to_string()
 }

@@ -50,7 +50,7 @@
 //! The campaign commands (`wafer`, `inject`, `resilient`, `link`, `attack`,
 //! `mission`)
 //! accept `--threads N` worker threads and, where trials shard, `--shards N`
-//! work units; every combination replays the single-threaded report
+//! work units (at least one per worker); every combination replays the single-threaded report
 //! bit-for-bit (the seed, not the schedule, owns every draw).
 
 #![forbid(unsafe_code)]

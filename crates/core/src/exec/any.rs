@@ -70,7 +70,7 @@ impl AnyCore {
     ///
     /// # Errors
     ///
-    /// See [`Engine::step`](super::Engine::step).
+    /// See [`Core::step_with`].
     pub fn step<I: InputPort, O: OutputPort>(
         &mut self,
         input: &mut I,
@@ -83,7 +83,7 @@ impl AnyCore {
     ///
     /// # Errors
     ///
-    /// See [`Engine::step`](super::Engine::step).
+    /// See [`Core::step_with`].
     pub fn step_with<I: InputPort, O: OutputPort, F: FaultHook>(
         &mut self,
         input: &mut I,
@@ -99,7 +99,7 @@ impl AnyCore {
     ///
     /// # Errors
     ///
-    /// See [`Engine::run`](super::Engine::run).
+    /// See [`Core::run_with`].
     pub fn run<I: InputPort, O: OutputPort>(
         &mut self,
         input: &mut I,
@@ -113,7 +113,7 @@ impl AnyCore {
     ///
     /// # Errors
     ///
-    /// See [`Engine::run`](super::Engine::run).
+    /// See [`Core::run_with`].
     pub fn run_with<I: InputPort, O: OutputPort, F: FaultHook>(
         &mut self,
         input: &mut I,
@@ -126,13 +126,14 @@ impl AnyCore {
 
     /// [`run_with`](AnyCore::run_with) minus the power-on state-fault
     /// visit: drive an already-powered-on core until the halt idiom or
-    /// until `budget` expires, in the dialect's own tight run loop.
-    /// Slicing one run into several budgets (a deadline-bounded daemon
-    /// request) resumes every slice after the first with this.
+    /// until `budget` expires (see [`Core::resume_with`]). Slicing one
+    /// run into several budgets (a deadline-bounded daemon request)
+    /// calls [`power_on_faults`](AnyCore::power_on_faults) once, then
+    /// resumes every slice with this.
     ///
     /// # Errors
     ///
-    /// See [`Engine::run`](super::Engine::run).
+    /// See [`Core::run_with`].
     pub fn resume_with<I: InputPort, O: OutputPort, F: FaultHook>(
         &mut self,
         input: &mut I,
@@ -140,7 +141,7 @@ impl AnyCore {
         budget: u64,
         faults: &mut F,
     ) -> Result<RunResult, SimError> {
-        each_core!(self, c => super::Engine::with_faults(&mut *c, faults).resume(input, output, budget))
+        each_core!(self, c => c.resume_with(input, output, budget, faults))
     }
 
     /// Reset architectural state, keeping program (and features).
@@ -221,18 +222,12 @@ impl AnyCore {
         }
     }
 
-    /// Apply state faults once at the current cycle — the "stuck
-    /// power-on bit" hook `run_with` fires before the first fetch.
-    /// Executors that step a core themselves (rollback recovery, the
-    /// link layer) call this before their first step so their runs
-    /// match `run_with` exactly.
+    /// Apply state faults once at the current cycle (see
+    /// [`Core::power_on_faults`]). Executors that step a core themselves
+    /// (rollback recovery, the link layer) call this before their first
+    /// step so their runs match `run_with` exactly.
     pub fn power_on_faults<F: FaultHook>(&mut self, faults: &mut F) {
-        if F::ACTIVE {
-            each_core!(self, c => {
-                let cycle = c.cycles();
-                faults.on_state(cycle, &mut c.arch_state());
-            });
-        }
+        each_core!(self, c => c.power_on_faults(faults));
     }
 
     /// Snapshot the run accounting as a [`RunResult`].

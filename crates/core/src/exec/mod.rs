@@ -2,26 +2,21 @@
 //!
 //! Every FlexiCore dialect shares one step/run loop — fetch, fault-hook
 //! threading, decode, halt-idiom detection, cycle accounting and the
-//! watchdog budget — implemented **exactly once** here. A dialect plugs
-//! in by implementing [`Core`] (decode and execute semantics plus a
-//! handful of per-dialect accounting knobs) and [`Engine`] drives it.
+//! watchdog budget — implemented **exactly once**, as the provided
+//! methods of [`Core`] ([`Core::step_with`] and the `run` family built
+//! on it). A dialect plugs in by implementing the required methods:
+//! decode and execute semantics plus a handful of per-dialect
+//! accounting knobs. Each simulator (`Fc4Core`, `Fc8Core`, `XaccCore`,
+//! `XlsCore`) is then driven directly — `use flexicore::exec::Core` and
+//! call `core.run(..)` — and the fault-free path monomorphizes with
+//! [`NoFaults`] compiled out.
 //!
-//! The layer has two public pieces:
-//!
-//! * [`Core`] + [`Engine`] — the compile-time-generic path. Each
-//!   simulator (`Fc4Core`, `Fc8Core`, `XaccCore`, `XlsCore`) implements
-//!   [`Core`] and forwards its public `step`/`run` API to an [`Engine`],
-//!   so the fault-free path monomorphizes to the same code the
-//!   hand-rolled loops compiled to.
-//! * [`AnyCore`] — runtime dialect dispatch. Consumers that used to
-//!   `match` on [`Dialect`](crate::isa::Dialect) at every call site
-//!   (kernel harness, CLI, fault campaigns) construct one `AnyCore` and
-//!   use it uniformly.
-//!
-//! Batches — wafer screens, fault campaigns, redundant lanes — run one
-//! die at a time through [`AnyCore::run_with`]; dies are independent,
-//! so a loop over them is the whole batch driver. [`LaneStatus`] names
-//! how each die's run ended.
+//! [`AnyCore`] adds runtime dialect dispatch for consumers that pick the
+//! dialect at runtime (kernel harness, CLI, fault campaigns). Batches —
+//! wafer screens, fault campaigns, redundant lanes — run one die at a
+//! time through [`AnyCore::run_with`]; dies are independent, so a loop
+//! over them is the whole batch driver. [`LaneStatus`] names how each
+//! die's run ended.
 
 use crate::error::SimError;
 use crate::io::{InputPort, OutputPort};
@@ -68,54 +63,6 @@ impl ExecState {
             fetched_bytes: 0,
             halted: false,
         }
-    }
-
-    /// Current program counter (7 bits, in-page).
-    #[must_use]
-    pub fn pc(&self) -> u8 {
-        self.pc
-    }
-
-    /// Elapsed clock cycles.
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Retired instruction count.
-    #[must_use]
-    pub fn instructions(&self) -> u64 {
-        self.instructions
-    }
-
-    /// Taken control transfers retired.
-    #[must_use]
-    pub fn taken_branches(&self) -> u64 {
-        self.taken_branches
-    }
-
-    /// Program-memory bytes fetched.
-    #[must_use]
-    pub fn fetched_bytes(&self) -> u64 {
-        self.fetched_bytes
-    }
-
-    /// Whether the halt idiom has been reached.
-    #[must_use]
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
-    /// The currently selected MMU page.
-    #[must_use]
-    pub fn page(&self) -> u8 {
-        self.mmu.page()
-    }
-
-    /// The loaded program image.
-    #[must_use]
-    pub fn program(&self) -> &Program {
-        &self.program
     }
 
     /// Snapshot the accounting as a [`RunResult`].
@@ -242,9 +189,11 @@ pub enum Flow {
     },
 }
 
-/// One dialect's contribution to the execution engine: decode and
-/// execute semantics, plus the per-dialect accounting conventions the
-/// engine needs to reproduce each simulator's historical numbers.
+/// A dialect plugged into the execution engine. The required methods
+/// give decode and execute semantics plus the per-dialect accounting
+/// conventions that reproduce each simulator's historical numbers; the
+/// provided [`Core::step_with`] / [`Core::run_with`] family is the one
+/// step/run loop every dialect shares.
 pub trait Core {
     /// The decoded instruction type.
     type Insn;
@@ -361,128 +310,71 @@ pub trait Core {
         state.halted = snap.halted;
         self.load_arch(snap);
     }
-}
 
-impl<C: Core> Core for &mut C {
-    type Insn = C::Insn;
-    const FETCH_WINDOW: usize = C::FETCH_WINDOW;
-
-    #[inline]
-    fn state(&self) -> &ExecState {
-        (**self).state()
+    /// Current program counter (7 bits, in-page).
+    #[must_use]
+    fn pc(&self) -> u8 {
+        self.state().pc
     }
 
-    #[inline]
-    fn state_mut(&mut self) -> &mut ExecState {
-        (**self).state_mut()
+    /// Elapsed clock cycles.
+    #[must_use]
+    fn cycles(&self) -> u64 {
+        self.state().cycle
     }
 
-    #[inline]
-    fn fetch_address(&self, page_pc: u32) -> u32 {
-        (**self).fetch_address(page_pc)
+    /// Retired instruction count.
+    #[must_use]
+    fn instructions(&self) -> u64 {
+        self.state().instructions
     }
 
-    #[inline]
-    fn decode(&self, window: &[u8], address: u32) -> Result<(Self::Insn, u8), SimError> {
-        (**self).decode(window, address)
+    /// Whether the halt idiom has been reached.
+    #[must_use]
+    fn is_halted(&self) -> bool {
+        self.state().halted
     }
 
-    #[inline]
-    fn execute<I: InputPort, O: OutputPort, F: FaultHook>(
-        &mut self,
-        insn: Self::Insn,
-        input: &mut I,
-        output: &mut O,
-        faults: &mut F,
-    ) -> Flow {
-        (**self).execute(insn, input, output, faults)
+    /// The currently selected MMU page.
+    #[must_use]
+    fn page(&self) -> u8 {
+        self.state().mmu.page()
     }
 
-    #[inline]
-    fn insn_cycles(len: u8) -> u64 {
-        C::insn_cycles(len)
-    }
-
-    #[inline]
-    fn pc_increment(len: u8) -> u8 {
-        C::pc_increment(len)
-    }
-
-    #[inline]
-    fn budget_spent(state: &ExecState) -> u64 {
-        C::budget_spent(state)
-    }
-
-    #[inline]
-    fn arch_state(&mut self) -> ArchState<'_> {
-        (**self).arch_state()
-    }
-
-    #[inline]
-    fn event_acc(&self) -> u8 {
-        (**self).event_acc()
-    }
-
-    #[inline]
-    fn save_arch(&self, snap: &mut Snapshot) {
-        (**self).save_arch(snap);
-    }
-
-    #[inline]
-    fn load_arch(&mut self, snap: &Snapshot) {
-        (**self).load_arch(snap);
-    }
-}
-
-/// The one step/run loop shared by every dialect: fetch (with fault
-/// corruption), decode, execute, commit, watchdog.
-#[derive(Debug)]
-pub struct Engine<C, F = NoFaults> {
-    core: C,
-    faults: F,
-}
-
-impl<C: Core> Engine<C, NoFaults> {
-    /// An engine with the fault-free hook (compile-time fast path).
-    pub fn new(core: C) -> Self {
-        Engine {
-            core,
-            faults: NoFaults,
-        }
-    }
-}
-
-impl<C: Core, F: FaultHook> Engine<C, F> {
-    /// An engine threading `faults` through every step.
-    pub fn with_faults(core: C, faults: F) -> Self {
-        Engine { core, faults }
-    }
-
-    /// The driven core.
-    pub fn core(&self) -> &C {
-        &self.core
-    }
-
-    /// The driven core, mutably.
-    pub fn core_mut(&mut self) -> &mut C {
-        &mut self.core
-    }
-
-    /// Consume the engine, returning the core.
-    pub fn into_core(self) -> C {
-        self.core
+    /// The loaded program image.
+    #[must_use]
+    fn program(&self) -> &Program {
+        &self.state().program
     }
 
     /// Apply state faults once at the current cycle — the "stuck
-    /// power-on bit" hook `run` fires before the first fetch.
-    pub fn apply_power_on_faults(&mut self) {
+    /// power-on bit" visit [`Core::run_with`] makes before the first
+    /// fetch. Executors that step a core themselves call this before
+    /// their first step so their runs match `run_with` exactly.
+    fn power_on_faults<F: FaultHook>(&mut self, faults: &mut F) {
         if F::ACTIVE {
-            let cycle = self.core.state().cycle;
-            self.faults.on_state(cycle, &mut self.core.arch_state());
+            let cycle = self.state().cycle;
+            faults.on_state(cycle, &mut self.arch_state());
         }
     }
 
     /// Execute one instruction.
+    ///
+    /// # Errors
+    ///
+    /// See [`Core::step_with`].
+    #[inline]
+    fn step<I: InputPort, O: OutputPort>(
+        &mut self,
+        input: &mut I,
+        output: &mut O,
+    ) -> Result<StepEvent, SimError> {
+        self.step_with(input, output, &mut NoFaults)
+    }
+
+    /// Execute one instruction with `faults` threaded through fetch,
+    /// the IO buses and the committed state: fetch, decode, execute,
+    /// then commit PC, halt idiom and accounting.
     ///
     /// # Errors
     ///
@@ -493,17 +385,18 @@ impl<C: Core, F: FaultHook> Engine<C, F> {
     /// * [`SimError::IllegalInstruction`] /
     ///   [`SimError::TruncatedInstruction`] from the dialect's decode.
     #[inline]
-    pub fn step<I, O>(&mut self, input: &mut I, output: &mut O) -> Result<StepEvent, SimError>
-    where
-        I: InputPort,
-        O: OutputPort,
-    {
-        let state = self.core.state_mut();
+    fn step_with<I: InputPort, O: OutputPort, F: FaultHook>(
+        &mut self,
+        input: &mut I,
+        output: &mut O,
+        faults: &mut F,
+    ) -> Result<StepEvent, SimError> {
+        let state = self.state_mut();
         state.mmu.tick();
         let page = state.mmu.page();
         let page_pc = state.mmu.extend(state.pc);
         let start_cycle = state.cycle;
-        let address = self.core.fetch_address(page_pc);
+        let address = self.fetch_address(page_pc);
 
         // Corrupt-page guard: a page whose first byte lies beyond the
         // image can only come from a corrupted page register or
@@ -513,39 +406,39 @@ impl<C: Core, F: FaultHook> Engine<C, F> {
         // exempt — running off the end of an unpaged program keeps its
         // historical `FetchOutOfBounds` classification.
         if page != 0 {
-            let base = self.core.fetch_address(u32::from(page) << 7) as usize;
-            if base >= self.core.state().program.len() {
+            let base = self.fetch_address(u32::from(page) << 7) as usize;
+            if base >= self.state().program.len() {
                 return Err(SimError::PageOutOfRange {
                     page,
-                    program_len: self.core.state().program.len(),
+                    program_len: self.state().program.len(),
                 });
             }
         }
 
-        let window = self.core.state().program.window(address);
+        let window = self.state().program.window(address);
         if window.is_empty() {
             return Err(SimError::FetchOutOfBounds {
                 address,
-                program_len: self.core.state().program.len(),
+                program_len: self.state().program.len(),
             });
         }
         let mut fetch_buf = [0u8; 2];
         let window: &[u8] = if F::ACTIVE {
-            let n = window.len().min(C::FETCH_WINDOW);
+            let n = window.len().min(Self::FETCH_WINDOW);
             for (i, b) in window[..n].iter().enumerate() {
-                fetch_buf[i] = self.faults.on_fetch(start_cycle + i as u64, *b);
+                fetch_buf[i] = faults.on_fetch(start_cycle + i as u64, *b);
             }
             &fetch_buf[..n]
         } else {
             window
         };
-        let (insn, len) = self.core.decode(window, address)?;
+        let (insn, len) = self.decode(window, address)?;
 
-        let flow = self.core.execute(insn, input, output, &mut self.faults);
+        let flow = self.execute(insn, input, output, faults);
 
-        let state = self.core.state_mut();
+        let state = self.state_mut();
         let mut taken = false;
-        let mut next_pc = state.pc.wrapping_add(C::pc_increment(len)) & PC_MASK;
+        let mut next_pc = state.pc.wrapping_add(Self::pc_increment(len)) & PC_MASK;
         if let Flow::Jump { target } = flow {
             taken = true;
             let target = target & PC_MASK;
@@ -555,24 +448,24 @@ impl<C: Core, F: FaultHook> Engine<C, F> {
             next_pc = target;
         }
         state.pc = next_pc;
-        state.cycle += C::insn_cycles(len);
+        state.cycle += Self::insn_cycles(len);
         state.instructions += 1;
         state.fetched_bytes += u64::from(len);
         if taken {
             state.taken_branches += 1;
         }
         if F::ACTIVE {
-            let cycle = self.core.state().cycle;
-            self.faults.on_state(cycle, &mut self.core.arch_state());
+            let cycle = self.state().cycle;
+            faults.on_state(cycle, &mut self.arch_state());
         }
 
-        let state = self.core.state();
+        let state = self.state();
         Ok(StepEvent {
             cycle: start_cycle,
             address,
             next_pc: state.pc,
-            acc: self.core.event_acc(),
-            cycles: C::insn_cycles(len),
+            acc: self.event_acc(),
+            cycles: Self::insn_cycles(len),
             taken_branch: taken,
             halted: state.halted,
         })
@@ -580,48 +473,56 @@ impl<C: Core, F: FaultHook> Engine<C, F> {
 
     /// Run until the halt idiom or until the watchdog `budget` expires
     /// (cycles or retired instructions, per [`Core::budget_spent`]).
-    /// State faults are applied once before the first fetch (a stuck
-    /// power-on bit) and after every retired instruction.
     ///
     /// # Errors
     ///
-    /// Propagates any error from [`Engine::step`].
-    pub fn run<I, O>(
+    /// See [`Core::step_with`].
+    fn run<I: InputPort, O: OutputPort>(
         &mut self,
         input: &mut I,
         output: &mut O,
         budget: u64,
-    ) -> Result<RunResult, SimError>
-    where
-        I: InputPort,
-        O: OutputPort,
-    {
-        self.apply_power_on_faults();
-        self.resume(input, output, budget)
+    ) -> Result<RunResult, SimError> {
+        self.run_with(input, output, budget, &mut NoFaults)
     }
 
-    /// The run loop without the power-on state-fault visit: drive an
-    /// already-powered-on core until the halt idiom or until `budget`
-    /// expires. Callers that slice one run into several budgets resume
-    /// each slice after the first, so power-on faults apply only once.
+    /// [`Core::run`] with a fault-injection hook. State faults apply
+    /// once before the first fetch (a stuck power-on bit) and after
+    /// every retired instruction.
     ///
     /// # Errors
     ///
-    /// Propagates any error from [`Engine::step`].
-    pub fn resume<I, O>(
+    /// See [`Core::step_with`].
+    fn run_with<I: InputPort, O: OutputPort, F: FaultHook>(
         &mut self,
         input: &mut I,
         output: &mut O,
         budget: u64,
-    ) -> Result<RunResult, SimError>
-    where
-        I: InputPort,
-        O: OutputPort,
-    {
-        while !self.core.state().halted && C::budget_spent(self.core.state()) < budget {
-            self.step(input, output)?;
+        faults: &mut F,
+    ) -> Result<RunResult, SimError> {
+        self.power_on_faults(faults);
+        self.resume_with(input, output, budget, faults)
+    }
+
+    /// [`Core::run_with`] minus the power-on state-fault visit: drive an
+    /// already-powered-on core until the halt idiom or until `budget`
+    /// expires. Callers that slice one run into several budgets call
+    /// [`Core::power_on_faults`] once, then resume every slice.
+    ///
+    /// # Errors
+    ///
+    /// See [`Core::step_with`].
+    fn resume_with<I: InputPort, O: OutputPort, F: FaultHook>(
+        &mut self,
+        input: &mut I,
+        output: &mut O,
+        budget: u64,
+        faults: &mut F,
+    ) -> Result<RunResult, SimError> {
+        while !self.state().halted && Self::budget_spent(self.state()) < budget {
+            self.step_with(input, output, faults)?;
         }
-        Ok(self.core.state().run_result())
+        Ok(self.state().run_result())
     }
 }
 
@@ -631,7 +532,7 @@ mod tests {
     use crate::io::{ConstInput, RecordingOutput};
     use crate::isa::fc4::Instruction as I4;
     use crate::isa::features::FeatureSet;
-    use crate::isa::Dialect;
+    use crate::isa::{fc8, xacc, xls, Dialect};
     use crate::sim::fault::{ArchFault, FaultKind, FaultPlane, StateElement};
 
     fn fc4_core(insns: &[I4]) -> AnyCore {
@@ -687,5 +588,133 @@ mod tests {
         assert!(run.halted());
         assert_eq!(run.instructions, 2, "only the halt tail retired");
         assert!(output.values().is_empty(), "the store never ran");
+    }
+
+    /// The same straight-line program in every dialect: add the
+    /// (fault-prone) word 2 into the accumulator, then emit three
+    /// outputs before the halt idiom.
+    fn emitters() -> [AnyCore; 4] {
+        let fc4: Vec<u8> = [
+            I4::AddMem { src: 2 },
+            I4::Store { addr: 1 },
+            I4::AddImm { imm: 3 },
+            I4::Store { addr: 1 },
+            I4::AddImm { imm: 1 },
+            I4::Store { addr: 1 },
+            I4::NandImm { imm: 0 },
+            I4::Branch { target: 7 },
+        ]
+        .iter()
+        .map(|i| i.encode())
+        .collect();
+
+        use fc8::Instruction as I8;
+        let mut fc8 = Vec::new();
+        for i in [
+            I8::AddMem { src: 2 },
+            I8::Store { addr: 1 },
+            I8::LoadByte { imm: 0x13 },
+            I8::AddMem { src: 2 },
+            I8::Store { addr: 1 },
+            I8::NandImm { imm: 0 },
+            I8::Branch { target: 7 },
+        ] {
+            i.encode_into(&mut fc8);
+        }
+
+        use xacc::{Cond, Instruction as Ix};
+        let mut xacc = Vec::new();
+        for i in [
+            Ix::Add { m: 2 },
+            Ix::Store { m: 1 },
+            Ix::AddImm { imm: 3 },
+            Ix::Store { m: 1 },
+            Ix::AddImm { imm: 1 },
+            Ix::Store { m: 1 },
+        ] {
+            i.encode_into(&mut xacc);
+        }
+        let halt_at = xacc.len() as u8;
+        Ix::Br {
+            cond: Cond::ALWAYS,
+            target: halt_at,
+        }
+        .encode_into(&mut xacc);
+
+        use xls::{Instruction as Is, Op, Operand};
+        let alu = |op, rd, operand| Is::Alu { op, rd, operand };
+        let mut xls = Vec::new();
+        for i in [
+            alu(Op::Add, 3, Operand::Reg(2)),
+            alu(Op::Mov, 1, Operand::Reg(3)),
+            alu(Op::Add, 3, Operand::Imm(3)),
+            alu(Op::Mov, 1, Operand::Reg(3)),
+            alu(Op::Add, 3, Operand::Imm(1)),
+            alu(Op::Mov, 1, Operand::Reg(3)),
+        ] {
+            i.encode_into(&mut xls);
+        }
+        let halt_at = (xls.len() / 2) as u8;
+        Is::Br {
+            cond: Cond::ALWAYS,
+            target: halt_at,
+        }
+        .encode_into(&mut xls);
+
+        let revised = FeatureSet::revised();
+        [
+            (Dialect::Fc4, fc4),
+            (Dialect::Fc8, fc8),
+            (Dialect::ExtendedAcc, xacc),
+            (Dialect::LoadStore, xls),
+        ]
+        .map(|(dialect, bytes)| AnyCore::for_dialect(dialect, revised, Program::from_bytes(bytes)))
+    }
+
+    #[test]
+    fn sliced_resume_matches_one_whole_run_on_every_dialect() {
+        const BUDGET: u64 = 1_000;
+        // word 2 bit 0 stuck-at-1: only the power-on visit can make the
+        // first instruction read it as 1
+        let plane = FaultPlane::with_faults(vec![ArchFault {
+            element: StateElement::Mem(2),
+            bit: 0,
+            kind: FaultKind::StuckAt1,
+        }]);
+        for core in emitters() {
+            let dialect = core.dialect();
+            let mut input = ConstInput::new(0);
+
+            let mut clean_core = core.clone();
+            let mut clean = RecordingOutput::new();
+            clean_core.run(&mut input, &mut clean, BUDGET).unwrap();
+
+            let mut whole_core = core.clone();
+            let mut whole = RecordingOutput::new();
+            let whole_run = whole_core
+                .run_with(&mut input, &mut whole, BUDGET, &mut plane.clone())
+                .unwrap();
+            assert!(whole_run.halted(), "{dialect:?}");
+            assert_ne!(whole.values(), clean.values(), "{dialect:?}: fault unseen");
+
+            let mut sliced_core = core;
+            let mut sliced = RecordingOutput::new();
+            let mut faults = plane.clone();
+            let mut run = sliced_core
+                .run_with(&mut input, &mut sliced, 2, &mut faults)
+                .unwrap();
+            let mut slices = 1;
+            while !sliced_core.is_halted() {
+                let slice = sliced_core.budget_spent() + 2;
+                run = sliced_core
+                    .resume_with(&mut input, &mut sliced, slice, &mut faults)
+                    .unwrap();
+                slices += 1;
+            }
+            assert!(slices >= 3, "{dialect:?}: only {slices} slices");
+            assert_eq!(run, whole_run, "{dialect:?}");
+            assert_eq!(sliced.values(), whole.values(), "{dialect:?}");
+            assert_eq!(sliced_core.snapshot(), whole_core.snapshot(), "{dialect:?}");
+        }
     }
 }

@@ -13,6 +13,8 @@
 //! * The [`sim`] module provides cycle-callable functional simulators for
 //!   every ISA dialect, including the off-chip [`mmu`] page transducer that
 //!   lets programs exceed the 7-bit program counter's 128-instruction reach.
+//!   Every simulator is driven through the one step/run loop in the
+//!   [`exec::Core`] trait, so bring `Core` into scope to run a core.
 //! * The [`uarch`] module models the microarchitectures considered in the
 //!   paper — single-cycle, two-stage pipelined and multicycle — together with
 //!   the program-bus-width constraint of Section 6.2.
@@ -26,6 +28,7 @@
 //! result to the output port:
 //!
 //! ```
+//! use flexicore::exec::Core;
 //! use flexicore::isa::fc4::Instruction;
 //! use flexicore::program::Program;
 //! use flexicore::sim::fc4::Fc4Core;

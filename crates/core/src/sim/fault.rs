@@ -7,7 +7,8 @@
 //! observe: program counter, accumulator, data memory / register file,
 //! the instruction fetch bus, and the two IO ports.
 //!
-//! Every simulator exposes `step_with`/`run_with` variants taking a
+//! The shared run loop's [`Core::step_with`](crate::exec::Core::step_with)
+//! and [`Core::run_with`](crate::exec::Core::run_with) take a
 //! [`FaultHook`]. The plain `step`/`run` entry points pass [`NoFaults`],
 //! whose hooks are empty `#[inline]` bodies and whose
 //! [`ACTIVE`](FaultHook::ACTIVE) constant is `false`, so after
@@ -291,30 +292,6 @@ pub trait FaultHook {
     #[inline]
     fn on_state(&mut self, cycle: u64, state: &mut ArchState<'_>) {
         let _ = (cycle, state);
-    }
-}
-
-impl<F: FaultHook> FaultHook for &mut F {
-    const ACTIVE: bool = F::ACTIVE;
-
-    #[inline]
-    fn on_fetch(&mut self, cycle: u64, byte: u8) -> u8 {
-        (**self).on_fetch(cycle, byte)
-    }
-
-    #[inline]
-    fn on_input(&mut self, cycle: u64, value: u8) -> u8 {
-        (**self).on_input(cycle, value)
-    }
-
-    #[inline]
-    fn on_output(&mut self, cycle: u64, value: u8) -> u8 {
-        (**self).on_output(cycle, value)
-    }
-
-    #[inline]
-    fn on_state(&mut self, cycle: u64, state: &mut ArchState<'_>) {
-        (**self).on_state(cycle, state);
     }
 }
 

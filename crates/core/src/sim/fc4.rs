@@ -6,18 +6,17 @@
 //! `Mmu` (see [`crate::mmu`]) is simulated alongside, snooping the output
 //! port exactly as the external board does (§5.1).
 //!
-//! The step/run loop lives in [`crate::exec::Engine`]; this module
-//! contributes only the FlexiCore4 decode/execute semantics via the
-//! [`Core`] trait.
+//! This module contributes only the FlexiCore4 decode/execute
+//! semantics, as the required methods of [`Core`]; the step/run loop
+//! is `Core`'s provided methods ([`Core::step_with`],
+//! [`Core::run_with`]).
 
 use crate::error::SimError;
-use crate::exec::{Core, Engine, ExecState, Flow, Snapshot};
+use crate::exec::{Core, ExecState, Flow, Snapshot};
 use crate::io::{InputPort, OutputPort};
 use crate::isa::fc4::{Instruction, IPORT_ADDR, MEM_WORDS, OPORT_ADDR};
 use crate::program::Program;
-use crate::sim::fault::{ArchState, FaultHook, NoFaults};
-use crate::sim::RunResult;
-use crate::trace::StepEvent;
+use crate::sim::fault::{ArchState, FaultHook};
 
 const WIDTH_MASK: u8 = 0xF;
 const SIGN_BIT: u8 = 0x8;
@@ -54,12 +53,6 @@ impl Fc4Core {
         *self = Fc4Core::new(program);
     }
 
-    /// Current program counter (7 bits, in-page).
-    #[must_use]
-    pub fn pc(&self) -> u8 {
-        self.exec.pc
-    }
-
     /// Current accumulator value.
     #[must_use]
     pub fn acc(&self) -> u8 {
@@ -71,36 +64,6 @@ impl Fc4Core {
     #[must_use]
     pub fn mem(&self, addr: u8) -> Option<u8> {
         self.mem.get(usize::from(addr)).copied()
-    }
-
-    /// Elapsed clock cycles.
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.exec.cycle
-    }
-
-    /// Retired instruction count.
-    #[must_use]
-    pub fn instructions(&self) -> u64 {
-        self.exec.instructions
-    }
-
-    /// Whether the halt idiom has been reached.
-    #[must_use]
-    pub fn is_halted(&self) -> bool {
-        self.exec.halted
-    }
-
-    /// The currently selected MMU page.
-    #[must_use]
-    pub fn page(&self) -> u8 {
-        self.exec.mmu.page()
-    }
-
-    /// The loaded program image.
-    #[must_use]
-    pub fn program(&self) -> &Program {
-        &self.exec.program
     }
 
     fn read_operand<I: InputPort, F: FaultHook>(
@@ -119,81 +82,6 @@ impl Fc4Core {
         } else {
             self.mem[usize::from(addr & 0x7)]
         }
-    }
-
-    /// Execute one instruction.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::FetchOutOfBounds`] if the fetch address is outside the
-    ///   program image,
-    /// * [`SimError::IllegalInstruction`] for reserved encodings.
-    pub fn step<I, O>(&mut self, input: &mut I, output: &mut O) -> Result<StepEvent, SimError>
-    where
-        I: InputPort,
-        O: OutputPort,
-    {
-        self.step_with(input, output, &mut NoFaults)
-    }
-
-    /// [`step`](Fc4Core::step) with a fault-injection hook.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Fc4Core::step`]; a corrupted fetch may surface
-    /// as [`SimError::IllegalInstruction`].
-    pub fn step_with<I, O, F>(
-        &mut self,
-        input: &mut I,
-        output: &mut O,
-        faults: &mut F,
-    ) -> Result<StepEvent, SimError>
-    where
-        I: InputPort,
-        O: OutputPort,
-        F: FaultHook,
-    {
-        Engine::with_faults(&mut *self, faults).step(input, output)
-    }
-
-    /// Run until the halt idiom or until `max_cycles` elapse.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any error from [`Fc4Core::step`].
-    pub fn run<I, O>(
-        &mut self,
-        input: &mut I,
-        output: &mut O,
-        max_cycles: u64,
-    ) -> Result<RunResult, SimError>
-    where
-        I: InputPort,
-        O: OutputPort,
-    {
-        self.run_with(input, output, max_cycles, &mut NoFaults)
-    }
-
-    /// [`run`](Fc4Core::run) with a fault-injection hook. State faults
-    /// are applied once before the first fetch (a stuck power-on bit)
-    /// and after every retired instruction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any error from [`Fc4Core::step_with`].
-    pub fn run_with<I, O, F>(
-        &mut self,
-        input: &mut I,
-        output: &mut O,
-        max_cycles: u64,
-        faults: &mut F,
-    ) -> Result<RunResult, SimError>
-    where
-        I: InputPort,
-        O: OutputPort,
-        F: FaultHook,
-    {
-        Engine::with_faults(&mut *self, faults).run(input, output, max_cycles)
     }
 }
 

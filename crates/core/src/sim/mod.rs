@@ -1,15 +1,16 @@
 //! Functional (ISA-level) simulators for every FlexiCore dialect.
 //!
 //! All simulators share the same shape: a core owns a [`Program`] image and
-//! its architectural state; [`step`](fc4::Fc4Core::step) executes one
-//! instruction against a pair of IO ports, and `run` iterates until the
-//! *halt idiom* — a taken control transfer to its own address — or a cycle
-//! budget expires. The loop itself lives in exactly one place,
-//! [`crate::exec::Engine`]: each simulator here contributes only decode
-//! and execute semantics (via [`crate::exec::Core`]) and forwards its
-//! public `step`/`run` API to the engine. Consumers that need runtime
-//! dialect dispatch use [`crate::exec::AnyCore`] instead of matching on
-//! the dialect; batch work loops over dies with
+//! its architectural state; [`Core::step`](crate::exec::Core::step)
+//! executes one instruction against a pair of IO ports, and
+//! [`Core::run`](crate::exec::Core::run) iterates until the *halt idiom* —
+//! a taken control transfer to its own address — or a cycle budget
+//! expires. The loop itself lives in exactly one place, the provided
+//! methods of [`crate::exec::Core`]: each simulator here implements only
+//! the required methods (decode and execute semantics), so callers
+//! `use flexicore::exec::Core` to run a concrete core. Consumers that
+//! need runtime dialect dispatch use [`crate::exec::AnyCore`] instead of
+//! matching on the dialect; batch work loops over dies with
 //! [`AnyCore::run_with`](crate::exec::AnyCore::run_with).
 //!
 //! The halt idiom matches what programs on the physical chips do: FlexiCores

@@ -12,20 +12,19 @@
 //! executing an instruction whose feature is disabled raises
 //! [`SimError::IllegalInstruction`].
 //!
-//! The step/run loop lives in [`crate::exec::Engine`]; this module
-//! contributes only the load-store decode/execute semantics via the
-//! [`Core`] trait.
+//! This module contributes only the load-store decode/execute
+//! semantics, as the required methods of [`Core`]; the step/run loop
+//! is `Core`'s provided methods ([`Core::step_with`],
+//! [`Core::run_with`]).
 
 use crate::error::SimError;
-use crate::exec::{Core, Engine, ExecState, Flow, Snapshot, PC_MASK};
+use crate::exec::{Core, ExecState, Flow, Snapshot, PC_MASK};
 use crate::io::{InputPort, OutputPort};
 use crate::isa::features::FeatureSet;
 use crate::isa::sign_extend;
 use crate::isa::xls::{Instruction, Op, Operand, IPORT_REG, NUM_REGS, OPORT_REG};
 use crate::program::Program;
-use crate::sim::fault::{ArchState, FaultHook, NoFaults};
-use crate::sim::RunResult;
-use crate::trace::StepEvent;
+use crate::sim::fault::{ArchState, FaultHook};
 
 const WIDTH: u32 = 4;
 const WIDTH_MASK: u8 = 0xF;
@@ -88,12 +87,6 @@ impl XlsCore {
         self.features
     }
 
-    /// Current program counter (instruction index).
-    #[must_use]
-    pub fn pc(&self) -> u8 {
-        self.exec.pc
-    }
-
     /// The register `r`, or `None` when `r >= 8`.
     #[must_use]
     pub fn reg(&self, r: u8) -> Option<u8> {
@@ -104,36 +97,6 @@ impl XlsCore {
     #[must_use]
     pub fn flags(&self) -> Flags {
         self.flags
-    }
-
-    /// Whether the halt idiom has been reached.
-    #[must_use]
-    pub fn is_halted(&self) -> bool {
-        self.exec.halted
-    }
-
-    /// Retired instruction count.
-    #[must_use]
-    pub fn instructions(&self) -> u64 {
-        self.exec.instructions
-    }
-
-    /// Elapsed ISA-level cycles (one per retired instruction).
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.exec.cycle
-    }
-
-    /// The currently selected MMU page.
-    #[must_use]
-    pub fn page(&self) -> u8 {
-        self.exec.mmu.page()
-    }
-
-    /// The loaded program image.
-    #[must_use]
-    pub fn program(&self) -> &Program {
-        &self.exec.program
     }
 
     fn read_reg<I: InputPort, F: FaultHook>(&mut self, r: u8, input: &mut I, faults: &mut F) -> u8 {
@@ -169,38 +132,6 @@ impl XlsCore {
             output.write(self.exec.cycle, driven);
             self.exec.mmu.observe(driven);
         }
-    }
-
-    /// Execute one instruction.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`XaccCore::step`](crate::sim::xacc::XaccCore::step).
-    pub fn step<I, O>(&mut self, input: &mut I, output: &mut O) -> Result<StepEvent, SimError>
-    where
-        I: InputPort,
-        O: OutputPort,
-    {
-        self.step_with(input, output, &mut NoFaults)
-    }
-
-    /// [`step`](XlsCore::step) with a fault-injection hook.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`XlsCore::step`].
-    pub fn step_with<I, O, F>(
-        &mut self,
-        input: &mut I,
-        output: &mut O,
-        faults: &mut F,
-    ) -> Result<StepEvent, SimError>
-    where
-        I: InputPort,
-        O: OutputPort,
-        F: FaultHook,
-    {
-        Engine::with_faults(&mut *self, faults).step(input, output)
     }
 
     fn alu(&mut self, op: Op, a: u8, b: u8) -> u8 {
@@ -272,46 +203,6 @@ impl XlsCore {
             Op::MulL => a.wrapping_mul(b) & mask,
             Op::MulH => ((u16::from(a) * u16::from(b)) >> WIDTH) as u8 & mask,
         }
-    }
-
-    /// Run until the halt idiom or until `max_steps` instructions retire.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any error from [`XlsCore::step`].
-    pub fn run<I, O>(
-        &mut self,
-        input: &mut I,
-        output: &mut O,
-        max_steps: u64,
-    ) -> Result<RunResult, SimError>
-    where
-        I: InputPort,
-        O: OutputPort,
-    {
-        self.run_with(input, output, max_steps, &mut NoFaults)
-    }
-
-    /// [`run`](XlsCore::run) with a fault-injection hook. State faults
-    /// are applied once before the first fetch (a stuck power-on bit)
-    /// and after every retired instruction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any error from [`XlsCore::step_with`].
-    pub fn run_with<I, O, F>(
-        &mut self,
-        input: &mut I,
-        output: &mut O,
-        max_steps: u64,
-        faults: &mut F,
-    ) -> Result<RunResult, SimError>
-    where
-        I: InputPort,
-        O: OutputPort,
-        F: FaultHook,
-    {
-        Engine::with_faults(&mut *self, faults).run(input, output, max_steps)
     }
 }
 

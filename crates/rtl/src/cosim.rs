@@ -10,6 +10,7 @@
 
 use flexgate::netlist::Netlist;
 use flexgate::sim::BatchSim;
+use flexicore::exec::Core;
 use flexicore::io::{InputPort, OutputPort};
 use flexicore::program::Program;
 

@@ -327,7 +327,7 @@ fn simulate_reply(
     let mut input = ScriptedInput::new(inputs.to_vec());
     let mut output = RecordingOutput::new();
     let mut faults = NoFaults;
-    let mut powered_on = false;
+    core.power_on_faults(&mut faults);
     // The watchdog budget is an absolute threshold on the core's
     // cumulative counter, so chunking means walking that threshold up
     // in SIM_CHUNK steps with a deadline poll between steps.
@@ -339,13 +339,7 @@ fn simulate_reply(
             .budget_spent()
             .saturating_add(SIM_CHUNK)
             .min(max_cycles);
-        let step = if powered_on {
-            core.resume_with(&mut input, &mut output, slice, &mut faults)
-        } else {
-            powered_on = true;
-            core.run_with(&mut input, &mut output, slice, &mut faults)
-        };
-        if let Err(e) = step {
+        if let Err(e) = core.resume_with(&mut input, &mut output, slice, &mut faults) {
             return Reply::error(format!("simulation fault: {e}"));
         }
     }

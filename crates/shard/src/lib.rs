@@ -144,13 +144,15 @@ where
 /// each shard's index and range and returns that shard's results, which
 /// are concatenated in shard order. The shard *count* therefore cannot
 /// affect the merged output (only which units share a worker), which is
-/// what makes a `--shards` knob free to tune.
+/// what makes a `--shards` knob free to tune. The unit space is split
+/// into at least one range per [`effective_threads`] worker (capped at
+/// `total`), so a thread count never idles for want of shards.
 pub fn map_sharded<T, F>(total: usize, shards: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, Range<usize>) -> Vec<T> + Sync,
 {
-    let ranges = partition(total, shards);
+    let ranges = partition(total, shards.max(effective_threads(threads)));
     map_indexed(ranges.len(), threads, |s| f(s, ranges[s].clone()))
         .into_iter()
         .flatten()
@@ -214,6 +216,17 @@ mod tests {
                 "{shards}/{threads}"
             );
         }
+    }
+
+    #[test]
+    fn map_sharded_splits_at_least_one_range_per_worker() {
+        let calls = AtomicUsize::new(0);
+        let out = map_sharded(100, 1, 4, |_, r| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            r.collect()
+        });
+        assert_eq!(out, (0..100).collect::<Vec<_>>());
+        assert_eq!(calls.into_inner(), effective_threads(4).min(100));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! ```
 
 use flexasm::Target;
+use flexicore::exec::Core;
 use flexicore::io::{RecordingOutput, ScriptedInput};
 use flexicore::sim::fc4::Fc4Core;
 use flexkernels::sources::DecisionTreeSpec;

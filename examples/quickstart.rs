@@ -6,6 +6,7 @@
 //! ```
 
 use flexasm::{Assembler, Target};
+use flexicore::exec::Core;
 use flexicore::io::{ConstInput, RecordingOutput};
 use flexicore::sim::fc4::Fc4Core;
 use flexrtl::cosim::cosim_fc4;

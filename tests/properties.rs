@@ -6,6 +6,7 @@ use proptest::prelude::*;
 
 use flexgate::netlist::Netlist;
 use flexgate::sim::BatchSim;
+use flexicore::exec::Core;
 use flexicore::io::{ConstInput, RecordingOutput};
 use flexicore::isa::xacc::Cond;
 use flexicore::isa::{fc4, fc8, xacc, xls, AluOp};
@@ -357,7 +358,7 @@ proptest! {
         }
     }
 
-    /// The shared [`flexicore::exec::Engine`] upholds its accounting
+    /// The shared [`flexicore::exec::Core`] run loop upholds its accounting
     /// invariants on every dialect: a retired instruction costs at least
     /// one cycle and at least one fetched byte, kernels terminate via
     /// the halt idiom (not the watchdog), and [`NoFaults`] is
