@@ -14,6 +14,12 @@ echo "== perfbench =="
 # build it and run its helper tests here, so removing or renaming a
 # crate API it calls fails CI rather than the benchmark run
 cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
+# the traced run replays every inject-stuck trial serially through the
+# full `run_with` loop and verifies it against the campaign, which
+# proves hangs by cycle detection instead: any disagreement exits
+# nonzero
+cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload inject-stuck --seed 1 --seconds 1 --trace 1 > /dev/null
 
 echo "== resilience smoke =="
 # the acceptance gates for the resilient execution layer (TMR masking,

@@ -7,6 +7,11 @@
 //!   engaged, which layers the work-stealing pool on top of the same
 //!   per-trial runs.
 //!
+//! A hang-heavy row runs a serial stuck-at campaign on FlexiCore4's
+//! decision tree, where hung trials dominate: it moves with the engine's
+//! hang proof (a hung trial is proven periodic instead of run to its
+//! watchdog), not with the pool.
+//!
 //! A second group times the Table 5 wafer screen (63 dies per
 //! bit-sliced gate-level pass, lane 0 golden) serial vs threaded.
 //! Throughput is reported as faults/sec and dies/sec via
@@ -80,6 +85,16 @@ fn inject_campaign(c: &mut Criterion) {
     config.shards = threads * 4;
     group.bench_function(&format!("sharded-{threads}t"), |b| {
         b.iter(|| run_campaign(config).expect("campaign runs").trials.len());
+    });
+    group.finish();
+
+    const HANG_TRIALS: usize = 200;
+    let mut hangs = CampaignConfig::new(Target::fc4(), Kernel::DecisionTree, HANG_TRIALS, SEED);
+    hangs.budget = BUDGET;
+    let mut group = c.benchmark_group("inject-hang-heavy");
+    group.throughput(Throughput::Elements(HANG_TRIALS as u64));
+    group.bench_function("fc4-decision-tree-serial", |b| {
+        b.iter(|| run_campaign(hangs).expect("campaign runs").trials.len());
     });
     group.finish();
 }

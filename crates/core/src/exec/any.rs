@@ -1,7 +1,7 @@
 //! Runtime dialect dispatch over the four simulators.
 
 use crate::error::SimError;
-use crate::io::{InputPort, OutputPort};
+use crate::io::{InputPort, OutputPort, ScriptedInput};
 use crate::isa::features::FeatureSet;
 use crate::isa::Dialect;
 use crate::program::Program;
@@ -142,6 +142,23 @@ impl AnyCore {
         faults: &mut F,
     ) -> Result<RunResult, SimError> {
         each_core!(self, c => c.resume_with(input, output, budget, faults))
+    }
+
+    /// [`resume_with`](AnyCore::resume_with) for callers that only need
+    /// the verdict: `Ok(None)` proves the run never halts (see
+    /// [`Core::resume_to_verdict`]).
+    ///
+    /// # Errors
+    ///
+    /// See [`Core::run_with`].
+    pub fn resume_to_verdict<O: OutputPort, F: FaultHook>(
+        &mut self,
+        input: &mut ScriptedInput,
+        output: &mut O,
+        budget: u64,
+        faults: &mut F,
+    ) -> Result<Option<RunResult>, SimError> {
+        each_core!(self, c => c.resume_to_verdict(input, output, budget, faults))
     }
 
     /// Reset architectural state, keeping program (and features).

@@ -17,9 +17,13 @@
 //! time through [`AnyCore::run_with`]; dies are independent, so a loop
 //! over them is the whole batch driver. [`LaneStatus`] names how each
 //! die's run ended.
+//!
+//! Consumers that only need a run's verdict call
+//! [`Core::resume_to_verdict`], which proves a hung run hung by cycle
+//! detection instead of simulating it to the end of its watchdog.
 
 use crate::error::SimError;
-use crate::io::{InputPort, OutputPort};
+use crate::io::{InputPort, OutputPort, ScriptedInput};
 use crate::mmu::Mmu;
 use crate::program::Program;
 use crate::sim::fault::{ArchState, FaultHook, NoFaults};
@@ -33,6 +37,12 @@ pub use any::AnyCore;
 /// In-page program-counter mask shared by every dialect (the PC is 7
 /// bits on all FlexiCores).
 pub const PC_MASK: u8 = 0x7F;
+
+/// Budget units [`Core::resume_to_verdict`] runs on the plain loop
+/// before it starts checking for a repeated state. Runs that halt are
+/// short (the kernel suite retires 24–464 instructions), so they finish
+/// here and never pay for the check.
+const PLAIN_STRETCH: u64 = 1_024;
 
 /// The dialect-independent execution state every [`Core`] embeds: the
 /// program image, the off-chip MMU, the program counter, and the run
@@ -524,12 +534,110 @@ pub trait Core {
         }
         Ok(self.state().run_result())
     }
+
+    /// [`Core::resume_with`] for callers that only need the verdict:
+    /// `Ok(None)` when the run is proven never to halt, which is exactly
+    /// the case where `resume_with` would return a non-halted
+    /// [`RunResult`] after spending the whole `budget`. `Ok(Some(r))` and
+    /// `Err(e)` are what `resume_with` returns, with the same outputs
+    /// driven and the same end state.
+    ///
+    /// The proof: once `faults` is [`settled`](FaultHook::settled), each
+    /// step is a pure function of the architectural state (the
+    /// [`Snapshot`] minus its run accounting) and the input cursor, so a
+    /// repeat of that state means the run is periodic and every later
+    /// state is one already seen not to halt or fault. Repeats are found
+    /// with Brent's cycle detection — one mark, moved at power-of-two
+    /// step counts — after a first stretch on the plain loop.
+    ///
+    /// # Errors
+    ///
+    /// See [`Core::step_with`].
+    fn resume_to_verdict<O: OutputPort, F: FaultHook>(
+        &mut self,
+        input: &mut ScriptedInput,
+        output: &mut O,
+        budget: u64,
+        faults: &mut F,
+    ) -> Result<Option<RunResult>, SimError> {
+        let plain = Self::budget_spent(self.state())
+            .saturating_add(PLAIN_STRETCH)
+            .min(budget);
+        let run = self.resume_with(input, output, plain, faults)?;
+        if run.halted() || plain == budget {
+            return Ok(Some(run));
+        }
+        resume_proving_hangs(self, input, output, budget, faults)
+    }
+}
+
+/// Where a [`Core`] and its input stood at a Brent mark.
+struct Mark {
+    snap: Snapshot,
+    reads: usize,
+}
+
+impl Mark {
+    fn of<C: Core + ?Sized>(core: &C, input: &ScriptedInput) -> Self {
+        Mark {
+            snap: core.snapshot(),
+            reads: input.reads(),
+        }
+    }
+
+    /// Compares the fields that are cheap to read (PC, accumulator,
+    /// input cursor) on every step; the full snapshot is built only
+    /// when they all match.
+    fn repeats<C: Core + ?Sized>(&self, core: &C, input: &ScriptedInput) -> bool {
+        self.snap.pc == core.state().pc
+            && self.snap.acc == core.event_acc()
+            && self.reads == input.reads()
+            && self.snap.same_arch(&core.snapshot())
+    }
+}
+
+/// The checking half of [`Core::resume_to_verdict`], kept out of line so
+/// runs that halt in the plain stretch keep the plain loop's code.
+#[cold]
+#[inline(never)]
+fn resume_proving_hangs<C: Core + ?Sized, O: OutputPort, F: FaultHook>(
+    core: &mut C,
+    input: &mut ScriptedInput,
+    output: &mut O,
+    budget: u64,
+    faults: &mut F,
+) -> Result<Option<RunResult>, SimError> {
+    let mut mark: Option<Mark> = None;
+    let mut power = 1u64;
+    let mut since_mark = 0u64;
+    while !core.state().halted && C::budget_spent(core.state()) < budget {
+        core.step_with(input, output, faults)?;
+        if !faults.settled() {
+            mark = None;
+            continue;
+        }
+        if let Some(m) = &mark {
+            if m.repeats(core, input) {
+                return Ok(None);
+            }
+            since_mark += 1;
+            if since_mark < power {
+                continue;
+            }
+            power *= 2;
+        } else {
+            power = 1;
+        }
+        since_mark = 0;
+        mark = Some(Mark::of(core, input));
+    }
+    Ok(Some(core.state().run_result()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{ConstInput, RecordingOutput};
+    use crate::io::{ConstInput, RecordingOutput, ScriptedInput};
     use crate::isa::fc4::Instruction as I4;
     use crate::isa::features::FeatureSet;
     use crate::isa::{fc8, xacc, xls, Dialect};
@@ -588,6 +696,125 @@ mod tests {
         assert!(run.halted());
         assert_eq!(run.instructions, 2, "only the halt tail retired");
         assert!(output.values().is_empty(), "the store never ran");
+    }
+
+    fn spinner() -> AnyCore {
+        // count in word 2 and branch back: a period of 16 laps, never
+        // the halt idiom
+        fc4_core(&[
+            I4::Load { addr: 2 },
+            I4::AddImm { imm: 1 },
+            I4::Store { addr: 2 },
+            I4::NandImm { imm: 0 },
+            I4::Branch { target: 0 },
+        ])
+    }
+
+    #[test]
+    fn spinner_is_proven_hung_long_before_its_budget() {
+        const BUDGET: u64 = 1_000_000;
+        let mut core = spinner();
+        let verdict = core
+            .resume_to_verdict(
+                &mut ScriptedInput::new(vec![]),
+                &mut RecordingOutput::new(),
+                BUDGET,
+                &mut NoFaults,
+            )
+            .unwrap();
+        assert_eq!(verdict, None);
+        assert!(
+            core.budget_spent() < 2 * PLAIN_STRETCH,
+            "spent {} of {BUDGET}",
+            core.budget_spent()
+        );
+    }
+
+    #[test]
+    fn unfired_transient_keeps_the_run_on_its_full_budget() {
+        const BUDGET: u64 = 20_000;
+        // the spinner never reads its input port, so this flip never
+        // fires and the plane never settles
+        let mut plane = FaultPlane::with_faults(vec![ArchFault {
+            element: StateElement::InputPort,
+            bit: 0,
+            kind: FaultKind::FlipAtCycle(0),
+        }]);
+        let mut core = spinner();
+        let verdict = core
+            .resume_to_verdict(
+                &mut ScriptedInput::new(vec![]),
+                &mut RecordingOutput::new(),
+                BUDGET,
+                &mut plane,
+            )
+            .unwrap();
+        assert!(!plane.settled());
+        assert!(matches!(verdict, Some(r) if !r.halted() && r.cycles == BUDGET));
+    }
+
+    /// Run `core` both ways on `inputs`: the verdict must be the halted
+    /// result of the full run.
+    fn assert_halts_like_the_full_run(core: &AnyCore, inputs: Vec<u8>) {
+        const BUDGET: u64 = 20_000;
+        let mut full_core = core.clone();
+        let full = full_core
+            .run(
+                &mut ScriptedInput::new(inputs.clone()),
+                &mut RecordingOutput::new(),
+                BUDGET,
+            )
+            .unwrap();
+        assert!(full.halted() && full.instructions > 2 * PLAIN_STRETCH);
+        let verdict = core
+            .clone()
+            .resume_to_verdict(
+                &mut ScriptedInput::new(inputs),
+                &mut RecordingOutput::new(),
+                BUDGET,
+                &mut NoFaults,
+            )
+            .unwrap();
+        assert_eq!(verdict, Some(full));
+    }
+
+    #[test]
+    fn a_repeat_needs_memory_and_the_input_cursor_not_just_pc_and_acc() {
+        // three octal digits in words 2..4, the accumulator reset to 0xF
+        // on every lap: (pc, acc) repeats each lap while the digits
+        // count up to the halt
+        let mut odometer = Vec::new();
+        for digit in 2..5u8 {
+            let carry = odometer.len() as u8 + 6;
+            odometer.extend([
+                I4::Load { addr: digit },
+                I4::AddImm { imm: 1 },
+                I4::Store { addr: digit },
+                I4::Branch { target: carry },
+                I4::NandImm { imm: 0 },
+                I4::Branch { target: 0 },
+            ]);
+            if digit < 4 {
+                odometer.extend([I4::XorImm { imm: 8 }, I4::Store { addr: digit }]);
+            }
+        }
+        let halt = odometer.len() as u8;
+        odometer.extend([I4::NandImm { imm: 0 }, I4::Branch { target: halt + 1 }]);
+        assert_halts_like_the_full_run(&fc4_core(&odometer), vec![]);
+
+        // poll the input port until a negative value: every lap is the
+        // same architectural state, only the input cursor moves
+        let poll = fc4_core(&[
+            I4::Load { addr: 0 },
+            I4::Branch { target: 4 },
+            I4::NandImm { imm: 0 },
+            I4::Branch { target: 0 },
+            I4::NandImm { imm: 0 },
+            I4::Branch { target: 5 },
+        ]);
+        let mut inputs = vec![0; 600];
+        inputs.push(8);
+        assert_halts_like_the_full_run(&poll, inputs);
     }
 
     /// The same straight-line program in every dialect: add the

@@ -293,6 +293,18 @@ pub trait FaultHook {
     fn on_state(&mut self, cycle: u64, state: &mut ArchState<'_>) {
         let _ = (cycle, state);
     }
+
+    /// `true` promises that every later hook visit is a pure function
+    /// of the value (or state) passed in: no cycle dependence and no
+    /// one-shot event still to come. From then on a run is a
+    /// deterministic function of its architectural state, which is what
+    /// lets [`Core::resume_to_verdict`](crate::exec::Core::resume_to_verdict)
+    /// prove a repeating run can never halt. The default, `false`, never
+    /// promises anything.
+    #[inline]
+    fn settled(&self) -> bool {
+        false
+    }
 }
 
 /// The fault-free hook: every point is the identity and
@@ -302,6 +314,11 @@ pub struct NoFaults;
 
 impl FaultHook for NoFaults {
     const ACTIVE: bool = false;
+
+    #[inline]
+    fn settled(&self) -> bool {
+        true
+    }
 }
 
 /// A concrete set of [`ArchFault`]s implementing [`FaultHook`].
@@ -349,7 +366,9 @@ impl FaultPlane {
         self.faults.is_empty()
     }
 
-    /// Re-arm transient flips (for re-running the same plane).
+    /// Re-arm transient flips (for re-running the same plane). A plane
+    /// carrying a transient is no longer [`settled`](FaultHook::settled)
+    /// afterwards.
     pub fn reset(&mut self) {
         for f in &mut self.fired {
             *f = false;
@@ -380,6 +399,15 @@ impl FaultPlane {
 }
 
 impl FaultHook for FaultPlane {
+    /// Stuck-at faults are pure; the plane settles once every transient
+    /// flip has fired.
+    fn settled(&self) -> bool {
+        self.faults
+            .iter()
+            .zip(&self.fired)
+            .all(|(fault, &fired)| fired || !matches!(fault.kind, FaultKind::FlipAtCycle(_)))
+    }
+
     #[inline]
     fn on_fetch(&mut self, cycle: u64, byte: u8) -> u8 {
         self.corrupt(StateElement::FetchBus, cycle, byte)
@@ -485,6 +513,33 @@ mod tests {
         assert_eq!(p.on_fetch(8, 0x10), 0x10, "one-shot");
         p.reset();
         assert_eq!(p.on_fetch(9, 0x10), 0x11, "re-armed by reset");
+    }
+
+    #[test]
+    fn plane_settles_once_every_flip_fired_and_reset_unsettles_it() {
+        assert!(NoFaults.settled());
+        let stuck = ArchFault {
+            element: StateElement::Acc,
+            bit: 0,
+            kind: FaultKind::StuckAt1,
+        };
+        assert!(FaultPlane::new().settled());
+        assert!(FaultPlane::with_faults(vec![stuck]).settled());
+        let mut p = FaultPlane::with_faults(vec![
+            stuck,
+            ArchFault {
+                element: StateElement::FetchBus,
+                bit: 0,
+                kind: FaultKind::FlipAtCycle(5),
+            },
+        ]);
+        assert!(!p.settled());
+        p.on_fetch(4, 0x10);
+        assert!(!p.settled(), "the flip has not fired yet");
+        p.on_fetch(5, 0x10);
+        assert!(p.settled());
+        p.reset();
+        assert!(!p.settled(), "reset re-arms the flip");
     }
 
     #[test]

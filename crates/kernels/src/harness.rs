@@ -147,6 +147,10 @@ impl PreparedKernel {
 
     /// Execute once with `inputs` scripted on the input port, a `budget`
     /// watchdog, and `faults` injected, verifying against the oracle.
+    /// A run proven never to halt returns [`RunError::DidNotHalt`]
+    /// without simulating the rest of its watchdog (see
+    /// [`AnyCore::resume_to_verdict`]); callers that need a hung run's
+    /// end state or accounting drive [`core`](Self::core) themselves.
     ///
     /// # Errors
     ///
@@ -159,10 +163,12 @@ impl PreparedKernel {
     ) -> Result<KernelRun, RunError> {
         let mut input = ScriptedInput::new(inputs.to_vec());
         let mut output = RecordingOutput::new();
-        let result = self
-            .core()
-            .run_with(&mut input, &mut output, budget, faults)?;
-        self.verify(inputs, output.values(), result)
+        let mut core = self.core();
+        core.power_on_faults(faults);
+        match core.resume_to_verdict(&mut input, &mut output, budget, faults)? {
+            Some(result) => self.verify(inputs, output.values(), result),
+            None => Err(RunError::DidNotHalt),
+        }
     }
 
     /// Run one case per [`BatchCase`], each through

@@ -11,9 +11,10 @@
 //! * a graceful drain finishes with zero queued and zero in-flight
 //!   requests and every client's tally balanced.
 
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use flexserve::cache::{read_raw_entry, write_raw_entry, DiskCache};
 use flexserve::protocol::{encode_core, encode_reply_core};
@@ -41,6 +42,44 @@ fn asm(source: &str) -> Request {
 
 const FIXED_SOURCE: &str = "load r0\naddi 3\nstore r1\nhalt\n";
 const SPIN_SOURCE: &str = "spin: jmp spin\n";
+
+/// The daemon's per-request cycle cap: the longest spin one request
+/// can ask for.
+const SPIN_CYCLES: u64 = 100_000_000;
+
+fn spin(max_cycles: u64) -> Request {
+    Request::Simulate {
+        dialect: "fc4".to_string(),
+        features: String::new(),
+        source: SPIN_SOURCE.to_string(),
+        inputs: Vec::new(),
+        max_cycles,
+    }
+}
+
+/// A deadline, at most `cap_ms`, that a [`SPIN_CYCLES`] spin on the
+/// daemon at `addr` provably outlasts. A release build on a fast host
+/// can finish that spin in well under a second, so a fixed deadline
+/// races it. The spin's pace is timed here instead: the fastest of three
+/// spins of 1/50 the length (distinct lengths, so none is a cache hit)
+/// projects the full spin's time, and the deadline is a quarter of it —
+/// the full spin would have to run 4x faster than its fastest sample to
+/// beat the deadline.
+fn spin_deadline_ms(addr: SocketAddr, cap_ms: u64) -> u64 {
+    const SAMPLE_CYCLES: u64 = SPIN_CYCLES / 50;
+    let mut client = Client::connect(addr).expect("calibration client connects");
+    let fastest = (0..3)
+        .map(|i| {
+            let start = Instant::now();
+            let reply = client.call(&spin(SAMPLE_CYCLES + i)).expect("sample spin");
+            assert_eq!(reply.status, ReplyStatus::Ok, "{}", reply.text);
+            start.elapsed()
+        })
+        .min()
+        .expect("three samples");
+    let projected = fastest * 50;
+    (projected.as_millis() as u64 / 4).clamp(1, cap_ms)
+}
 
 #[test]
 fn hostile_weather_soak_holds_the_robustness_contract() {
@@ -155,13 +194,7 @@ fn hostile_weather_soak_holds_the_robustness_contract() {
                     client.deadline_ms = 30;
                     let reply = call_until_accepted(
                         &mut client,
-                        &Request::Simulate {
-                            dialect: "fc4".to_string(),
-                            features: String::new(),
-                            source: SPIN_SOURCE.to_string(),
-                            inputs: Vec::new(),
-                            max_cycles: 100_000_000,
-                        },
+                        &spin(SPIN_CYCLES),
                         &sent,
                         &replied,
                         &soak_sheds,
@@ -177,26 +210,20 @@ fn hostile_weather_soak_holds_the_robustness_contract() {
     }
 
     // Saturate the pool with deadline-bounded spins, then pour a batch
-    // through the 4-deep queue: the overflow must shed, not block.
+    // through the 4-deep queue while they run: the overflow must shed,
+    // not block.
+    let deadline_ms = spin_deadline_ms(addr, 600);
     let spin_threads: Vec<_> = (0..4)
         .map(|_| {
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).expect("spin client connects");
-                client.deadline_ms = 600;
-                let reply = client
-                    .call(&Request::Simulate {
-                        dialect: "fc4".to_string(),
-                        features: String::new(),
-                        source: SPIN_SOURCE.to_string(),
-                        inputs: Vec::new(),
-                        max_cycles: 100_000_000,
-                    })
-                    .expect("spin reply");
+                client.deadline_ms = deadline_ms;
+                let reply = client.call(&spin(SPIN_CYCLES)).expect("spin reply");
                 assert_eq!(reply.status, ReplyStatus::Deadline, "{}", reply.text);
             })
         })
         .collect();
-    std::thread::sleep(Duration::from_millis(150));
+    std::thread::sleep(Duration::from_millis(deadline_ms / 4));
     let flood: Vec<Request> = (0..12)
         .map(|i| asm(&format!("load r0\naddi {}\nstore r2\nhalt\n", i % 8)))
         .collect();
@@ -260,20 +287,15 @@ fn drain_finishes_in_flight_work_before_exiting() {
     // A request that takes real time (deadline-bounded spin) goes in
     // flight; the drain triggers while it runs; the reply must still
     // arrive before the daemon exits.
+    let deadline_ms = spin_deadline_ms(addr, 400);
     let worker = std::thread::spawn(move || {
         let mut client = Client::connect(addr).expect("client connects");
-        client.deadline_ms = 400;
+        client.deadline_ms = deadline_ms;
         client
-            .call(&Request::Simulate {
-                dialect: "fc4".to_string(),
-                features: String::new(),
-                source: SPIN_SOURCE.to_string(),
-                inputs: Vec::new(),
-                max_cycles: 100_000_000,
-            })
+            .call(&spin(SPIN_CYCLES))
             .expect("in-flight request must be answered across the drain")
     });
-    std::thread::sleep(Duration::from_millis(100));
+    std::thread::sleep(Duration::from_millis(deadline_ms / 4));
     handle.trigger_drain();
     let reply = worker.join().expect("client thread");
     assert_eq!(reply.status, ReplyStatus::Deadline, "{}", reply.text);
